@@ -20,12 +20,11 @@ import numpy as np
 
 from . import rde
 from .errors import InvalidArgumentError, StarvationError
-from .fgauss import paley_wiener
-from .indexsets import Exponent, enumerate_exponents, hurst_float  # noqa: F401
-from .paths import GridPath
+from .fgauss import cm_element_zero, fbm_increments, paley_wiener
+from .indexsets import enumerate_exponents, hurst_float
+from .paths import path_from_increments
 
-_N_BATCHES = 20
-_CHUNK = 1 << 15
+N_BATCHES = 20
 
 
 @dataclass
@@ -52,15 +51,18 @@ class DensityEstimate:
 
 
 def _batch_ids(n):
-    return (np.arange(n) * _N_BATCHES) // n
+    return (np.arange(n) * N_BATCHES) // n
 
 
-def _batch_se(values, weights=None):
+def _batch_se(values):
+    if len(values) < N_BATCHES:
+        raise InvalidArgumentError(
+            f"need at least {N_BATCHES} samples for batch-means errors, got {len(values)}")
     ids = _batch_ids(len(values))
     means = np.array([
-        np.mean(values[ids == b]) for b in range(_N_BATCHES)
+        np.mean(values[ids == b]) for b in range(N_BATCHES)
     ])
-    return float(np.std(means, ddof=1) / np.sqrt(_N_BATCHES))
+    return float(np.std(means, ddof=1) / np.sqrt(N_BATCHES))
 
 
 def _holder_homogeneous_level1(values, alpha):
@@ -77,8 +79,10 @@ def _holder_homogeneous_level1(values, alpha):
     return out
 
 
-def _silverman(std, n, dim):
-    return std * n ** (-1.0 / (dim + 4))
+def _bandwidth(std, n, dim, bandwidth):
+    """Silverman's rule unless a bandwidth is given; floored at 1e-12."""
+    b = std * n ** (-1.0 / (dim + 4)) if bandwidth is None else np.asarray(bandwidth, float)
+    return np.maximum(np.broadcast_to(b, (dim,)), 1e-12)
 
 
 def estimate_density(model, t, method, n_samples, spec, seed=0, bandwidth=None,
@@ -99,41 +103,26 @@ def estimate_density(model, t, method, n_samples, spec, seed=0, bandwidth=None,
     if method == "shifted" and minimizer_result is None:
         raise InvalidArgumentError("shifted estimator needs a minimizer result")
 
-    rng = np.random.Generator(np.random.Philox(seed))
-    from .fgauss import IncrementGram
-    L = IncrementGram(spec).cholesky()
-
     endpoints = np.empty((n_samples, n))
     pw = np.empty(n_samples) if method == "shifted" else None
     keep = np.ones(n_samples, dtype=bool)
     gamma = minimizer_result.gamma_bar if method == "shifted" else None
-    zero = None
-    if method == "plain":
-        from .fgauss import cm_element_zero
-        zero = cm_element_zero(spec)
-    lo = 0
-    while lo < n_samples:
-        hi = min(lo + _CHUNK, n_samples)
-        z = rng.standard_normal((hi - lo, spec.M, spec.dim))
-        inc = np.einsum("pq,bqi->bpi", L, z)
-        w_vals = np.zeros((hi - lo, spec.M + 1, spec.dim))
-        np.cumsum(inc, axis=1, out=w_vals[:, 1:, :])
-        shift = gamma if method == "shifted" else zero
-        res = rde.solve_scaled_shifted_batch(vf, model.a, w_vals, shift, eps, hf,
+    shift = gamma if method == "shifted" else cm_element_zero(spec)
+    for sl, inc in fbm_increments(spec, n_samples, seed):
+        w = path_from_increments(inc, spec.times)
+        del inc
+        res = rde.solve_scaled_shifted_batch(vf, model.a, w.values, shift, eps, hf,
                                              store_path=False)
-        endpoints[lo:hi] = res.endpoint
+        endpoints[sl] = res.endpoint
         if method == "shifted":
-            pw[lo:hi] = _pw_chunk(gamma, spec, w_vals)
+            pw[sl] = paley_wiener(gamma, w)
         if trunc_radius is not None:
-            keep[lo:hi] = _holder_homogeneous_level1(eps * w_vals, hf - 0.05) <= trunc_radius
-        lo = hi
+            keep[sl] = _holder_homogeneous_level1(eps * w.values, hf - 0.05) <= trunc_radius
 
     if method == "plain":
         dev = endpoints - model.a_prime
         std = np.std(dev, axis=0)
-        b = _silverman(std, n_samples, n) if bandwidth is None else np.broadcast_to(
-            np.asarray(bandwidth, float), (n,)).copy()
-        b = np.maximum(b, 1e-12)
+        b = _bandwidth(std, n_samples, n, bandwidth)
         logk = -0.5 * np.sum((dev / b) ** 2, axis=1) - np.sum(np.log(b)) \
             - 0.5 * n * np.log(2 * np.pi)
         weights = np.exp(logk)
@@ -150,9 +139,7 @@ def estimate_density(model, t, method, n_samples, spec, seed=0, bandwidth=None,
     energy2 = 2.0 * minimizer_result.energy  # |gamma_bar|^2
     z = (endpoints - model.a_prime) / eps
     std = np.std(z, axis=0)
-    b = _silverman(std, n_samples, n) if bandwidth is None else np.broadcast_to(
-        np.asarray(bandwidth, float), (n,)).copy()
-    b = np.maximum(b, 1e-12)
+    b = _bandwidth(std, n_samples, n, bandwidth)
     logw = (-pw / eps - 0.5 * np.sum((z / b) ** 2, axis=1)
             - np.sum(np.log(b)) - 0.5 * n * np.log(2 * np.pi))
     logw[~keep] = -np.inf
@@ -172,10 +159,6 @@ def estimate_density(model, t, method, n_samples, spec, seed=0, bandwidth=None,
     }
     return DensityEstimate(model.name, float(t), est, se, "shifted",
                            n_samples, b, seed, extras)
-
-
-def _pw_chunk(gamma, spec, w_vals):
-    return paley_wiener(gamma, GridPath(spec.times, w_vals))
 
 
 def fit_asymptotics(estimates, gamma_norm_sq, n, H, drift=False, hurst=None):
@@ -248,29 +231,21 @@ def leading_coefficient(vf, res, spec, n_samples, seed=0, bandwidth=None,
     else:
         b = np.broadcast_to(np.asarray(bandwidth, float), (n,)).copy()
 
-    from .fgauss import IncrementGram
-    L = IncrementGram(spec).cholesky()
-    rng = np.random.Generator(np.random.Philox(seed))
     sk = rde.solve_skeleton(vf, a, res.gamma_bar)
     vals = np.empty(n_samples)
     expw = np.empty(n_samples)
-    lo = 0
-    while lo < n_samples:
-        hi = min(lo + _CHUNK, n_samples)
-        z = rng.standard_normal((hi - lo, spec.M, spec.dim))
-        inc = np.einsum("pq,bqi->bpi", L, z)
+    for sl, inc in fbm_increments(spec, n_samples, seed):
         ends = rde.expansion_endpoints_batch(vf, a, res.gamma_bar, inc, spec.hurst,
                                              upto=1 if sanity else 2, skeleton=sk)
         phi1 = ends[1]
         logk = -0.5 * np.sum((phi1 / b) ** 2, axis=1) - np.sum(np.log(b)) \
             - 0.5 * n * np.log(2 * np.pi)
         if sanity:
-            w = np.ones(hi - lo)
+            w = np.ones(len(phi1))
         else:
             w = np.exp(np.einsum("bk,k->b", ends[2], res.nu_bar))
-        expw[lo:hi] = w
-        vals[lo:hi] = w * np.exp(logk)
-        lo = hi
+        expw[sl] = w
+        vals[sl] = w * np.exp(logk)
     est = float(np.mean(vals))
     se = _batch_se(vals)
     srt = np.sort(expw)[::-1]

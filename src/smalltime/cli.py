@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, asymptotics, fgauss, malliavin, minimizer, models, rde
 from . import roughlift as rl
-from .errors import ConfigError, SmalltimeError
+from .errors import ConfigError, InvalidArgumentError, NumericalDegeneracyError, SmalltimeError
 from .fgauss import FbmSpec
 from .indexsets import SET_NAMES, enumerate_exponents, format_exponent, parse_hurst
 from .paths import to_csv
@@ -164,10 +164,19 @@ def _validate(args):
     M = args.grid
     if M < 32 or M > 4096 or (M & (M - 1)) != 0:
         raise ConfigError(f"grid must be a power of two in [32, 4096], got {M}")
+    if args.command in ("density", "asymptotics"):
+        ts = [args.t] if args.command == "density" else _parse_vec(args.t_grid)
+        if not all(0.0 < t <= 1.0 for t in ts):
+            raise ConfigError("every t must lie in (0, 1]")
+        if args.samples < asymptotics.N_BATCHES:
+            raise ConfigError(f"--samples must be at least {asymptotics.N_BATCHES}")
 
 
 def _parse_vec(text, n=None):
-    vals = np.array([float(x) for x in text.split(",")])
+    try:
+        vals = np.array([float(x) for x in text.split(",")])
+    except ValueError as exc:
+        raise ConfigError(f"expected comma-separated numbers: {exc}") from exc
     if n is not None and vals.shape[0] != n:
         raise ConfigError(f"expected {n} components, got {vals.shape[0]}")
     return vals
@@ -215,7 +224,12 @@ def _out_dir(args):
 
 
 def _dump_json(path, payload):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a NaN or infinity in the payload is a numeric failure."""
+    try:
+        text = json.dumps(payload, allow_nan=False, indent=2, sort_keys=True)
+    except ValueError as exc:
+        raise NumericalDegeneracyError(f"non-finite value in {path.name}: {exc}") from exc
+    path.write_text(text + "\n")
 
 
 def _manifest(out, args, t0):
@@ -370,7 +384,7 @@ def _cmd_hormander(args, out):
     payload = {"ranks_per_depth": list(ranks), "total_rank": total,
                "state_dim": m.n, "spans": total == m.n}
     _dump_json(out / "hormander.json", payload)
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
     return 0
 
 
@@ -389,7 +403,7 @@ def _cmd_density(args, out):
         payload["oracle"] = float(oracle)
         payload["rel_err_vs_oracle"] = abs(est.estimate - oracle) / oracle
     _dump_json(out / "density.json", payload)
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
     return 0
 
 
@@ -409,7 +423,7 @@ def _cmd_asymptotics(args, out):
     np.savetxt(out / "density_grid.csv", rows, delimiter=",", fmt="%.17g",
                header="t,estimate,se", comments="")
     _dump_json(out / "asymptotics.json", {"fit": rep, "energy": mres.energy})
-    print(json.dumps(rep))
+    print(json.dumps(rep, allow_nan=False))
     return 0
 
 
@@ -455,13 +469,13 @@ def main(argv=None):
     out = _out_dir(args)
     try:
         rc = _HANDLERS[args.command](args, out)
-    except ConfigError as exc:
+        _manifest(out, args, t0)
+    except (ConfigError, InvalidArgumentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SmalltimeError as exc:
         print(f"[{args.command}] numeric failure: {exc}", file=sys.stderr)
         return 3
-    _manifest(out, args, t0)
     return rc
 
 

@@ -8,18 +8,19 @@ linear formulas, since R(t_k, .) corresponds to the first-chaos variable
 w_{t_k}.
 
 Sampling draws grid increments through a dense Cholesky factor of the
-increment Gram matrix.  One counter-based stream per (seed) drives all
-paths in a fixed order, so results never depend on how work is split
-across workers.
+increment Gram matrix, cached per (H, M).  :func:`fbm_increments` is the
+one noise source: a counter-based stream per seed fills the normals
+path-major, and each chunk is contracted with the factor in one GEMM, so
+results never depend on how work is split into chunks or across workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cholesky
 
 from .errors import InvalidArgumentError, NumericalDegeneracyError
 from .paths import GridPath, uniform_grid
@@ -63,52 +64,89 @@ class FbmSpec:
         return fbm_cov(t[:, None], t[None, :], self.hurst)
 
 
+def _cholesky(g):
+    """Lower Cholesky factor of a PSD matrix, retried once with a 1e-12 trace jitter."""
+    try:
+        return np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        jitter = 1e-12 * np.trace(g)
+        try:
+            return np.linalg.cholesky(g + jitter * np.eye(g.shape[0]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalDegeneracyError("Cholesky factorization failed after jitter") from exc
+
+
+@lru_cache(maxsize=4)  # at M=4096 each entry holds 256 MB
+def _gram_and_factor(hurst, M):
+    """Increment Gram matrix G and L' for G = L L', both read-only.
+
+    L' is C-contiguous: in that layout ``z @ L'`` rounds each row the same
+    whatever the number of rows (two or more); in L's layout it does not.
+    """
+    t = uniform_grid(M)
+    R = fbm_cov(t[:, None], t[None, :], hurst)
+    g = R[1:, 1:] - R[1:, :-1] - R[:-1, 1:] + R[:-1, :-1]
+    lt = np.ascontiguousarray(_cholesky(g).T)
+    g.flags.writeable = lt.flags.writeable = False
+    return g, lt
+
+
 class IncrementGram:
-    """Gram matrix of grid-cell increments: Gamma_pq = E[dw_p dw_q]."""
+    """Gram matrix of grid-cell increments Gamma_pq = E[dw_p dw_q], cached and read-only."""
 
     def __init__(self, spec):
         self.spec = spec
-        t = spec.times
-        R = fbm_cov(t[:, None], t[None, :], spec.hurst)
-        self.matrix = R[1:, 1:] - R[1:, :-1] - R[:-1, 1:] + R[:-1, :-1]
-        self._chol = None
+        self.matrix = _gram_and_factor(spec.hurst, spec.M)[0]
 
     def cholesky(self):
-        if self._chol is None:
-            g = self.matrix
-            try:
-                self._chol = cholesky(g, lower=True)
-            except np.linalg.LinAlgError:
-                jitter = 1e-12 * np.trace(g)
-                try:
-                    self._chol = cholesky(g + jitter * np.eye(g.shape[0]), lower=True)
-                except np.linalg.LinAlgError as exc:
-                    raise NumericalDegeneracyError(
-                        "increment Gram Cholesky failed after jitter"
-                    ) from exc
-        return self._chol
+        return _gram_and_factor(self.spec.hurst, self.spec.M)[1].T
+
+
+# Normals per chunk (paths * M * dim): bounds the noise memory at 64 MB per
+# array whatever the grid, and keeps 32768-path chunks at M=128, d=2.
+_CHUNK_NORMALS = 1 << 23
+
+
+def _noise_chunk(rng, B, M, d, LT):
+    """Increments L z, shape (B, M, d), of B paths of normals z drawn path-major.
+
+    One GEMM; at most two chunk-sized arrays are alive at a time.
+    """
+    rows = rng.standard_normal((B, M, d)).transpose(0, 2, 1).reshape(B * d, M)
+    # numpy sends a single row to gemv, which rounds differently from gemm
+    inc = (np.concatenate([rows, rows]) @ LT)[:1] if B * d == 1 else rows @ LT
+    del rows
+    return np.ascontiguousarray(inc.reshape(B, d, M).transpose(0, 2, 1))
+
+
+def fbm_increments(spec, n_paths, seed, chunk=None):
+    """Iterator of (slice of paths, grid increments of shape (paths, M, dim)).
+
+    A single Philox stream fills the standard normals path-major, so the
+    increments depend only on (spec, seed) and the path index, never on the
+    chunk size (at most ``chunk`` paths, by default a fixed number of normals).
+    """
+    if n_paths < 1:
+        raise InvalidArgumentError("n_paths must be >= 1")
+    M, d = spec.M, spec.dim
+    LT = _gram_and_factor(spec.hurst, M)[1]
+    rng = np.random.Generator(np.random.Philox(seed))
+    step = max(1, _CHUNK_NORMALS // (M * d)) if chunk is None else int(chunk)
+    bounds = [(lo, min(lo + step, n_paths)) for lo in range(0, n_paths, step)]
+    return ((slice(lo, hi), _noise_chunk(rng, hi - lo, M, d, LT)) for lo, hi in bounds)
 
 
 def sample_fbm(spec, n_paths, seed, chunk=None):
     """Draw i.i.d. fBm paths on the grid, components independent.
 
-    Deterministic for fixed (seed, n_paths): a single Philox stream fills
-    the standard normals path-major, and the worker count never enters.
-    Returns a batched GridPath of shape (n_paths, M+1, dim).
+    Deterministic for fixed seed: path k is the same whatever ``n_paths``
+    and ``chunk`` (see :func:`fbm_increments`).  Returns a batched GridPath
+    of shape (n_paths, M+1, dim).
     """
-    if n_paths < 1:
-        raise InvalidArgumentError("n_paths must be >= 1")
-    L = IncrementGram(spec).cholesky()
-    rng = np.random.Generator(np.random.Philox(seed))
+    chunks = fbm_increments(spec, n_paths, seed, chunk)
     vals = np.zeros((n_paths, spec.M + 1, spec.dim))
-    step = n_paths if chunk is None else int(chunk)
-    lo = 0
-    while lo < n_paths:
-        hi = min(lo + step, n_paths)
-        z = rng.standard_normal((hi - lo, spec.M, spec.dim))
-        inc = np.einsum("pq,bqi->bpi", L, z)
-        np.cumsum(inc, axis=1, out=vals[lo:hi, 1:, :])
-        lo = hi
+    for sl, inc in chunks:
+        np.cumsum(inc, axis=1, out=vals[sl, 1:, :])
     return GridPath(spec.times, vals)
 
 
@@ -208,7 +246,6 @@ def fit_qvar_embedding_constant(spec, n_elems=8, q=None, seed=0):
     The constant is not specified analytically, so the largest observed
     ratio over random kernel-basis elements and subintervals is reported.
     """
-    from .paths import GridPath
     from .roughlift import lift_grid_path
     from .metrics import pvar_norm
 
@@ -239,16 +276,8 @@ def volterra_checks(H, M):
     induced map from discrete L^2 into the Cameron-Martin space.
     """
     spec = FbmSpec(H, 1, M)
-    t = spec.times[1:]
-    R = fbm_cov(t[:, None], t[None, :], spec.hurst)
-    try:
-        L = cholesky(R, lower=True)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * np.trace(R)
-        try:
-            L = cholesky(R + jitter * np.eye(M), lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalDegeneracyError("covariance factorization failed") from exc
+    R = spec.cov_matrix()
+    L = _cholesky(R)
     recon = float(np.max(np.abs(L @ L.T - R)))
     # unitarity: for gamma = L sqrt(ds) f, |gamma|_H^2 == ds * |f|^2
     rng = np.random.default_rng(0)

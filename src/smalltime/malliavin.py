@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rde
 from .errors import CapabilityError, InvalidArgumentError
-from .fgauss import IncrementGram
-from .rde import step_render
+from .fgauss import IncrementGram, fbm_increments
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def malliavin_Q(A, spec_or_gram, provenance="deterministic", render="avg"):
     A = np.asarray(A, float)
     Mcells = gram.matrix.shape[0]
     if A.shape[0] == Mcells + 1:
-        A = step_render(A, render)
+        A = rde.step_render(A, render)
     if A.shape[0] != Mcells:
         raise InvalidArgumentError("integrand grid does not match the Gram")
     q = np.einsum("pki,pq,qli->kl", A, gram.matrix, A)
@@ -60,11 +60,18 @@ def malliavin_Q(A, spec_or_gram, provenance="deterministic", render="avg"):
 
 
 def malliavin_Q_batch(A, gram, render="avg"):
-    """Batched Q for stochastic rows A: (B, M+1, n, d) -> (B, n, n)."""
+    """Batched Q for stochastic rows A: (B, M+1, n, d) -> (B, n, n).
+
+    One GEMM G @ A over all paths' (M, B*n*d) columns, then a per-path
+    contraction over cells and driver components.
+    """
     A = np.asarray(A, float)
     if A.shape[1] == gram.matrix.shape[0] + 1:
         A = 0.5 * (A[:, :-1] + A[:, 1:]) if render == "avg" else A[:, :-1]
-    q = np.einsum("bpki,pq,bqli->bkl", A, gram.matrix, A)
+    B, M, n, d = A.shape
+    cols = A.transpose(1, 0, 2, 3).reshape(M, B * n * d)
+    GA = (gram.matrix @ cols).reshape(M, B, n, d).transpose(1, 2, 0, 3).reshape(B, n, M * d)
+    q = A.transpose(0, 2, 1, 3).reshape(B, n, M * d) @ GA.transpose(0, 2, 1)
     return 0.5 * (q + np.swapaxes(q, -1, -2))
 
 
@@ -116,19 +123,6 @@ def _bracket(V, U, dV, dU):
     return fn
 
 
-def _fd_jac(fn, step=1e-5):
-    def deriv(y):
-        y = np.asarray(y, float)
-        n = y.shape[-1]
-        cols = [
-            (fn(y + step * e) - fn(y - step * e)) / (2 * step)
-            for e in np.eye(n)
-        ]
-        return np.stack(cols, axis=-1)
-
-    return deriv
-
-
 def hormander_rank(vf, point, max_depth=3):
     """Ranks of the bracket-generated distributions V_0..V_m at a point.
 
@@ -174,7 +168,7 @@ def hormander_rank(vf, point, max_depth=3):
                 if V is None:
                     continue
                 br = _bracket(V, U, dV, dU)
-                nxt.append((br, _fd_jac(br)))
+                nxt.append((br, rde._fd_derivative(br, (n,))))
         vectors.extend(fn(point) for fn, _ in nxt)
         ranks.append(rank_of(vectors))
         current = nxt
@@ -191,18 +185,12 @@ def sample_scaled_Q(vf, a, spec, epsilon, H, n_samples, seed, chunk=512):
     sigma^eps = eps * sigma; the pairing Gram is that of the driving fBm.
     Returns an (n_samples, n, n) array.
     """
-    from . import rde
-    from .fgauss import sample_fbm
-
     eps = float(epsilon)
     gram = IncrementGram(spec)
     out = np.empty((n_samples, vf.n, vf.n))
-    w = sample_fbm(spec, n_samples, seed)
     hf = float(H)
-    lo = 0
-    while lo < n_samples:
-        hi = min(lo + chunk, n_samples)
-        inc = eps * np.diff(w.values[lo:hi], axis=-2)
+    for sl, inc in fbm_increments(spec, n_samples, seed, chunk):
+        inc = eps * inc
         if vf.drift_present:
             dt = np.diff(spec.times) * eps ** (1.0 / hf)
             dt = np.broadcast_to(dt[:, None], inc.shape[:-1] + (1,))
@@ -211,8 +199,7 @@ def sample_scaled_Q(vf, a, spec, epsilon, H, n_samples, seed, chunk=512):
                                    with_time=vf.drift_present, with_flows=True,
                                    store_path=True)
         rows = stochastic_gradient_rows(res, vf.sigma, epsilon=eps)
-        out[lo:hi] = malliavin_Q_batch(rows, gram)
-        lo = hi
+        out[sl] = malliavin_Q_batch(rows, gram)
     return out
 
 
@@ -222,7 +209,9 @@ def eigen_tail(samples_by_eps, epsilons):
     samples_by_eps: for each epsilon a list of CovMatrix (or arrays).
     Reports per-eps quantiles of lambda_min, the fitted slope of
     log P(lambda_min < xi) against log xi over the lower decile, and the
-    global slope mu_hat of log E[lambda_min^{-1}] against log(1/eps).
+    global slope mu_hat of log E[lambda_min^{-1}] against log(1/eps).  A
+    slope with too few points to fit (a lower decile with fewer than two
+    distinct positive values, or a single epsilon) is reported as None.
     """
     if len(samples_by_eps) != len(epsilons):
         raise InvalidArgumentError("one sample set per epsilon required")
@@ -244,7 +233,7 @@ def eigen_tail(samples_by_eps, epsilons):
             ranks = (np.arange(decile.size) + 1) / len(lam)
             tail_slope = float(np.polyfit(np.log(decile), np.log(ranks), 1)[0])
         else:
-            tail_slope = float("nan")
+            tail_slope = None
         inv_mean = float(np.mean(1.0 / np.maximum(lam, 1e-300)))
         inv_means.append(inv_mean)
         per_eps.append({
@@ -257,5 +246,5 @@ def eigen_tail(samples_by_eps, epsilons):
         })
     logs = np.log(np.asarray(inv_means))
     li = np.log(1.0 / np.asarray(epsilons, float))
-    mu_hat = float(np.polyfit(li, logs, 1)[0]) if len(epsilons) >= 2 else float("nan")
+    mu_hat = float(np.polyfit(li, logs, 1)[0]) if len(epsilons) >= 2 else None
     return {"per_eps": per_eps, "mu_hat": mu_hat}

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import malliavin
-from .errors import InvalidArgumentError, NonConvergenceError
+from .errors import InvalidArgumentError, NonConvergenceError, NumericalDegeneracyError
 from .fgauss import CMElement, IncrementGram, cm_from_increment_density, paley_wiener, sample_fbm
 from .rde import pair_gradient_with_path, skeleton_gradient, solve_skeleton, step_render
 
@@ -192,7 +192,9 @@ def minimize_energy(vf, a, a_prime, spec, M_opt=64, n_starts=5, seed=0,
     a = np.asarray(a, float)
     a_prime = np.asarray(a_prime, float)
     if np.allclose(a, a_prime):
-        raise InvalidArgumentError("need a != a_prime for the bridge problem")
+        # gamma = 0 attains the energy with no multiplier: a degenerate problem,
+        # not a malformed argument
+        raise NumericalDegeneracyError("the bridge problem is degenerate at a == a_prime")
     problem = _Problem(vf, a, a_prime, spec, min(M_opt, spec.M))
     problem_full = (problem if problem.n_blocks == spec.M
                     else _Problem(vf, a, a_prime, spec, spec.M))

@@ -144,14 +144,3 @@ def from_file(path):
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad model file {path}: {exc}") from exc
     return Model(data.get("name", "user"), vf, a, ap, dict(data.get("params", {})))
-
-
-_BUILTIN = {"heisenberg": heisenberg, "lognormal": lognormal, "bridge1d": bridge1d}
-
-
-def by_name(name, hurst=0.5, **kwargs):
-    if name in ("lognormal", "bridge1d"):
-        return _BUILTIN[name](hurst=hurst, **kwargs)
-    if name == "heisenberg":
-        return heisenberg(**kwargs)
-    raise ConfigError(f"unknown model {name!r}; builtins: {sorted(_BUILTIN)}")

@@ -126,6 +126,15 @@ def test_fit_asymptotics_rejects_bad_inputs():
                                     1.0, 1, 0.5)
 
 
+def test_estimate_needs_one_sample_per_batch():
+    m = models.lognormal(sigma=0.5, a=1.0, a_prime=1.5, hurst=0.4)
+    spec = FbmSpec(0.4, 1, 32)
+    with pytest.raises(InvalidArgumentError):
+        asymptotics.estimate_density(m, 0.5, "plain", 19, spec, seed=1)
+    est = asymptotics.estimate_density(m, 0.5, "plain", 20, spec, seed=1)
+    assert np.isfinite(est.se)
+
+
 def test_leading_coefficient_bridge_gaussian():
     # sigma = 1: phi^2 = 0, Q = 1, alpha0 = (2 pi)^{-1/2}
     m = models.bridge1d(a=0.0, a_prime=1.0, hurst=0.5)

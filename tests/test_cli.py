@@ -9,6 +9,12 @@ def run(args):
     return cli.main([str(a) for a in args])
 
 
+def _strict_loads(text):
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_indices_listing(tmp_path, capsys):
     rc = run(["indices", "--hurst", "2/5", "--set", "L1", "--cutoff", "4",
               "--out", tmp_path / "o"])
@@ -22,7 +28,7 @@ def test_minimize_energy_value(tmp_path):
     rc = run(["minimize", "--model", "heisenberg", "--target", "1,0.5,0",
               "--hurst", "1/2", "--grid", "64", "--out", tmp_path / "m"])
     assert rc == 0
-    payload = json.loads((tmp_path / "m" / "minimize.json").read_text())
+    payload = _strict_loads((tmp_path / "m" / "minimize.json").read_text())
     assert abs(payload["energy"] - 0.625) <= 1e-4
     assert payload["converged"]
 
@@ -32,7 +38,7 @@ def test_density_prints_oracle(tmp_path, capsys):
               "--samples", 20000, "--seed", 7, "--hurst", "2/5", "--grid", "64",
               "--out", tmp_path / "d"])
     assert rc == 0
-    payload = json.loads((tmp_path / "d" / "density.json").read_text())
+    payload = _strict_loads((tmp_path / "d" / "density.json").read_text())
     assert "oracle" in payload
     assert payload["rel_err_vs_oracle"] <= 0.05
 
@@ -60,6 +66,39 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 def test_invalid_hurst_and_grid_exit_2(tmp_path):
     assert run(["indices", "--hurst", "0.7", "--out", tmp_path / "a"]) == 2
     assert run(["indices", "--grid", "100", "--out", tmp_path / "b"]) == 2
+
+
+def test_invalid_arguments_exit_2_before_any_work(tmp_path):
+    base = ["--model", "lognormal", "--hurst", "2/5", "--grid", "32"]
+    cases = {
+        "t0": ["density", "--t", "0", "--samples", "100"],
+        "t_negative": ["density", "--t", "-0.5", "--samples", "100"],
+        "t_above_1": ["density", "--t", "1.5", "--samples", "100"],
+        "samples0": ["density", "--t", "0.5", "--samples", "0"],
+        "samples10": ["density", "--t", "0.5", "--samples", "10"],
+        "grid_t0": ["asymptotics", "--t-grid", "0.4,0.2,0", "--samples", "100"],
+        "grid_text": ["asymptotics", "--t-grid", "0.4,x", "--samples", "100"],
+        "grid_samples": ["asymptotics", "--samples", "19"],
+    }
+    for name, argv in cases.items():
+        out = tmp_path / name
+        assert run(argv + base + ["--out", out]) == 2, name
+        assert not out.exists(), name
+
+
+def test_invalid_library_argument_exits_2(tmp_path, capsys):
+    rc = run(["simulate-fbm", "--paths", "0", "--grid", "32", "--out", tmp_path / "p"])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_eigen_tail_json_is_strict(tmp_path):
+    # one epsilon leaves the mu_hat slope undefined: null, never NaN
+    out = tmp_path / "c"
+    rc = run(["covariance", "--grid", "32",
+              "--tail-eps", "0.25", "--tail-samples", "500", "--out", out])
+    assert rc == 0
+    assert _strict_loads((out / "eigen_tail.json").read_text())["mu_hat"] is None
 
 
 def test_numeric_failure_exits_3(tmp_path, capsys):

@@ -66,10 +66,28 @@ def test_sampler_self_similarity_ks():
 
 
 def test_sampler_deterministic_and_chunk_invariant():
-    spec = FbmSpec(0.35, 2, 16)
-    a = fgauss.sample_fbm(spec, 50, seed=9)
-    b = fgauss.sample_fbm(spec, 50, seed=9)
-    assert np.array_equal(a.values, b.values)
+    for dim in (1, 2):
+        spec = FbmSpec(0.35, dim, 16)
+        a = fgauss.sample_fbm(spec, 50, seed=9)
+        b = fgauss.sample_fbm(spec, 50, seed=9)
+        assert np.array_equal(a.values, b.values)
+        for chunk in (1, 7, 50):
+            c = fgauss.sample_fbm(spec, 50, seed=9, chunk=chunk)
+            assert np.array_equal(c.values, a.values), (dim, chunk)
+        # path k does not depend on how many paths follow it
+        assert np.array_equal(fgauss.sample_fbm(spec, 1, seed=9).values[0], a.values[0])
+
+
+@pytest.mark.parametrize("M, dim", [(1024, 1), (128, 2)])
+def test_gemm_noise_matches_einsum(M, dim):
+    # the reference is the elementwise contraction the sampler used to run
+    spec = FbmSpec(0.4, dim, M)
+    n = 64
+    z = np.random.Generator(np.random.Philox(3)).standard_normal((n, M, dim))
+    ref = np.einsum("pq,bqi->bpi", IncrementGram(spec).cholesky(), z)
+    (sl, inc), = fgauss.fbm_increments(spec, n, seed=3)
+    assert sl == slice(0, n)
+    assert np.max(np.abs(inc - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_cm_norm_kernel_elements():

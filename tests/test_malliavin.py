@@ -115,6 +115,16 @@ def test_q_scaling_bit_exact():
     assert np.array_equal(q_eps, eps ** 2 * q_unit)
 
 
+def test_q_batch_matches_per_path_q():
+    spec = FbmSpec(0.4, 2, 64)
+    gram = IncrementGram(spec)
+    rows = np.random.default_rng(4).normal(size=(5, 65, 3, 2))
+    q = malliavin.malliavin_Q_batch(rows, gram)
+    for b in range(5):
+        ref = malliavin.malliavin_Q(rows[b], gram).matrix
+        assert np.max(np.abs(q[b] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_hormander_ranks():
     m = models.heisenberg()
     ranks, total = malliavin.hormander_rank(m.vf, np.zeros(3), max_depth=1)
