@@ -54,10 +54,13 @@ def _batch_ids(n):
     return (np.arange(n) * N_BATCHES) // n
 
 
-def _batch_se(values):
-    if len(values) < N_BATCHES:
+def _check_samples(n):
+    if n < N_BATCHES:
         raise InvalidArgumentError(
-            f"need at least {N_BATCHES} samples for batch-means errors, got {len(values)}")
+            f"need at least {N_BATCHES} samples for batch-means errors, got {n}")
+
+
+def _batch_se(values):
     ids = _batch_ids(len(values))
     means = np.array([
         np.mean(values[ids == b]) for b in range(N_BATCHES)
@@ -92,6 +95,7 @@ def estimate_density(model, t, method, n_samples, spec, seed=0, bandwidth=None,
     ``spec`` fixes the Hurst parameter and solver grid; for the shifted
     method a MinimizerResult for (a, a') must be attached.
     """
+    _check_samples(n_samples)
     hf = spec.hurst
     eps = float(t) ** hf
     if eps > 1.0 + 1e-12:
@@ -217,8 +221,11 @@ def leading_coefficient(vf, res, spec, n_samples, seed=0, bandwidth=None,
 
     With ``sanity=True`` the exponential factor is dropped and the
     estimator must reproduce the Gaussian total mass
-    (2 pi)^{-n/2} det(Q(gamma_bar))^{-1/2}.
+    (2 pi)^{-n/2} det(Q(gamma_bar))^{-1/2}.  phi^1_1 is exactly N(0, Q) on
+    the grid, so the kernel estimator's mean is the bandwidth-biased
+    ``kernel_mass_target`` (2 pi)^{-n/2} det(Q + diag b^2)^{-1/2}.
     """
+    _check_samples(n_samples)
     n = vf.n
     a = res.a if a is None else np.asarray(a, float)
     Q = res.Q_at_min.matrix
@@ -261,4 +268,6 @@ def leading_coefficient(vf, res, spec, n_samples, seed=0, bandwidth=None,
     }
     if sanity:
         out["gaussian_mass_target"] = float((2 * np.pi) ** (-n / 2) / np.sqrt(detQ))
+        out["kernel_mass_target"] = float(
+            (2 * np.pi) ** (-n / 2) / np.sqrt(np.linalg.det(Q + np.diag(b ** 2))))
     return out

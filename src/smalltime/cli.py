@@ -184,33 +184,23 @@ def _parse_vec(text, n=None):
 
 def _build_model(args):
     name = args.model
-    h = float(parse_hurst(args.hurst))
     if name == "file":
         if not args.model_file:
             raise ConfigError("--model file needs --model-file")
-        m = models.from_file(args.model_file)
-    elif name == "lognormal":
-        kw = {"sigma": args.sigma, "hurst": h}
-        if args.start:
-            kw["a"] = float(args.start)
-        if args.target:
-            kw["a_prime"] = float(args.target)
-        m = models.lognormal(**kw)
-    elif name == "bridge1d":
-        kw = {"hurst": h}
-        if args.start:
-            kw["a"] = float(args.start)
-        if args.target:
-            kw["a_prime"] = float(args.target)
-        m = models.bridge1d(**kw)
-    else:
-        kw = {}
-        if args.start:
-            kw["a"] = tuple(_parse_vec(args.start, 3))
-        if args.target:
-            kw["a_prime"] = tuple(_parse_vec(args.target, 3))
-        m = models.heisenberg(**kw)
-    return m
+        return models.from_file(args.model_file)
+    dim = 3 if name == "heisenberg" else 1
+    kw = {}
+    if args.start:
+        kw["a"] = tuple(_parse_vec(args.start, dim))
+    if args.target:
+        kw["a_prime"] = tuple(_parse_vec(args.target, dim))
+    if name == "heisenberg":
+        return models.heisenberg(**kw)
+    kw = {k: float(v[0]) for k, v in kw.items()}
+    h = float(parse_hurst(args.hurst))
+    if name == "lognormal":
+        return models.lognormal(sigma=args.sigma, hurst=h, **kw)
+    return models.bridge1d(hurst=h, **kw)
 
 
 def _spec(args, dim):

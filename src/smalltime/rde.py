@@ -601,62 +601,88 @@ def expansion_terms(vf, a, gamma, x, H, kappa_max=None):
     return ExpansionTerms(g, hf, exps, phis, sk)
 
 
+_ROW_BLOCK = 1024  # paths per block of the quadratic-form evaluation
+
+
+def _endpoint_forms(vf, sk, g, hf, upto):
+    """Endpoint forms in the flat increments x (length M*d) of one path.
+
+    Returns (B, S, c) with phi^1_1 = B x and phi^2_1[k] = x^T S_k x + c_k;
+    S and c are None for upto=1.  Phi[p] = J_p sum_{q<p} KSbar_q e_q maps x
+    to phi^1 at grid point p, and B = Phi[M].  S collects the KD1 trapezoid
+    term (Phi against dx_p) and the KD2 dg term, grouped by grid point as
+    Phi_p^T W_p Phi_p with W_p = KD2_p (dg_p + dg_{p-1}) / 4; it is
+    symmetrised before J_1 is folded in.  c is the drift constant.
+    """
+    J, K = sk.J, sk.K
+    phi0 = sk.y.values
+    n, d = vf.n, vf.d
+    M = phi0.shape[0] - 1
+    KS = K @ vf.sigma(phi0)
+    KSflat = (0.5 * (KS[:-1] + KS[1:])).transpose(1, 0, 2).reshape(n, M * d)
+    B = J[-1] @ KSflat
+    if upto == 1:
+        return B, None, None
+
+    cell = np.repeat(np.arange(M), d)
+    Phi = (J @ KSflat) * (cell < np.arange(M + 1)[:, None])[:, None, :]  # (M+1, n, Md)
+    KD1 = (K @ vf.sigma_deriv(phi0, 1).reshape(M + 1, n, n * d)).reshape(M + 1, n, n, d)
+    V = KD1.transpose(0, 1, 3, 2).reshape(M + 1, n * d, n) @ Phi  # rows (k, i)
+    S = (0.5 * (V[:-1] + V[1:])).reshape(M, n, d, M * d).transpose(1, 0, 2, 3)
+    S = S.reshape(n, M * d, M * d)
+
+    dg = g.increments()
+    dg_sum = np.zeros((M + 1, d))
+    dg_sum[:-1] += dg
+    dg_sum[1:] += dg
+    D2 = vf.sigma_deriv(phi0, 2).reshape(M + 1, n ** 3, d) @ dg_sum[:, :, None]
+    W = 0.25 * (K @ D2.reshape(M + 1, n, n * n))  # W[p, k, (b, c)]
+    WPhi = (W.reshape(M + 1, n * n, n) @ Phi).reshape(M + 1, n, n, M * d)
+    WPhi = WPhi.transpose(1, 0, 2, 3).reshape(n, (M + 1) * n, M * d)
+    S += Phi.reshape((M + 1) * n, M * d).T @ WPhi
+    S = 0.5 * (S + S.transpose(0, 2, 1))
+    S = (J[-1] @ S.reshape(n, -1)).reshape(n, M * d, M * d)
+
+    c = np.zeros(n)
+    if vf.drift_present and abs(1.0 / hf - 2.0) <= 1e-9:
+        Kb = (K @ vf.drift_deriv(phi0, 0)[..., None])[..., 0]
+        c = J[-1] @ np.sum(0.5 * (Kb[:-1] + Kb[1:]) * np.diff(g.times)[:, None], axis=0)
+    return B, S, c
+
+
 def expansion_endpoints_batch(vf, a, gamma, w_increments, H, upto=2, skeleton=None):
     """Endpoint values phi^1_1 (and phi^2_1) for a batch of noise paths.
 
-    Streams the variation-of-constants recursions over the grid keeping
-    only per-path state, so a million samples fit in memory.  Only the
-    integer exponents 1 and 2 are supported here (all the Monte Carlo
-    estimators need); use :func:`expansion_terms` for full fractional sets.
+    phi^1_1 is linear and each component of phi^2_1 is a quadratic form
+    plus a constant in the flat grid increments x of a path, so the
+    variation-of-constants recursions collapse to forms built once per
+    call from the skeleton (:func:`_endpoint_forms`): phi^1 = x B^T and
+    phi^2_k = rowsum((x S_k) * x) + c_k, evaluated in blocks of 1024 paths
+    so the (paths, M*d) temporaries stay small.  S takes n (M d)^2 8 bytes:
+    1.5 MB for the Heisenberg system at M=128, but 400 MB at n=3, d=1,
+    M=4096 (no CLI command calls this; ``leading_coefficient`` does).
+    Only the integer exponents 1 and 2 are supported here (all the Monte
+    Carlo estimators need); use :func:`expansion_terms` for full
+    fractional sets.
     """
     if upto not in (1, 2):
         raise InvalidArgumentError("upto must be 1 or 2")
     hf = indexsets.hurst_float(H)
     w_inc = np.asarray(w_increments, float)
-    B = w_inc.shape[0]
-    M = w_inc.shape[1]
+    n_paths, M = w_inc.shape[:2]
     g = render_gamma(gamma, M=M)
     sk = skeleton if skeleton is not None else solve_skeleton(vf, a, g)
-    J, K = sk.J, sk.K
-    phi0 = sk.y.values
-    n, d = vf.n, vf.d
-
-    KS = np.einsum("tkl,tli->tki", K, vf.sigma(phi0))
-    KSbar = 0.5 * (KS[:-1] + KS[1:])
+    B, S, c = _endpoint_forms(vf, sk, g, hf, upto)
+    x = w_inc.reshape(n_paths, -1)
+    phi1 = x @ B.T
     if upto == 1:
-        I1_end = np.einsum("tki,bti->bk", KSbar, w_inc)
-        return {1: np.einsum("kl,bl->bk", J[-1], I1_end)}
-
-    dsig = vf.sigma_deriv(phi0, 1)
-    KD1 = np.einsum("tkl,tlbi->tkbi", K, dsig)
-    d2sig = vf.sigma_deriv(phi0, 2)
-    KD2 = np.einsum("tkl,tlbci->tkbci", K, d2sig)
-    dg = g.increments()
-    dt = np.diff(g.times)
-
-    drift_term = np.zeros((M + 1, n))
-    if vf.drift_present and abs(1.0 / hf - 2.0) <= 1e-9:
-        Kb = np.einsum("tkl,tl->tk", K, vf.drift_deriv(phi0, 0))
-        np.cumsum(0.5 * (Kb[:-1] + Kb[1:]) * dt[:, None], axis=0, out=drift_term[1:])
-
-    I1 = np.zeros((B, n))
-    I2 = np.zeros((B, n))
-    phi1_p = np.zeros((B, n))  # phi^1 at grid point p
-    for p in range(M):
-        dx = w_inc[:, p, :]
-        I1_next = I1 + np.einsum("ki,bi->bk", KSbar[p], dx)
-        phi1_next = np.einsum("kl,bl->bk", J[p + 1], I1_next)
-        # dF^2 pieces, trapezoid across the cell
-        v_p = np.einsum("kbi,Bb->Bki", KD1[p], phi1_p)
-        v_n = np.einsum("kbi,Bb->Bki", KD1[p + 1], phi1_next)
-        I2 += np.einsum("Bki,Bi->Bk", 0.5 * (v_p + v_n), dx)
-        q_p = np.einsum("kbci,Bb,Bc->Bki", KD2[p], phi1_p, phi1_p)
-        q_n = np.einsum("kbci,Bb,Bc->Bki", KD2[p + 1], phi1_next, phi1_next)
-        I2 += 0.5 * np.einsum("Bki,i->Bk", 0.5 * (q_p + q_n), dg[p])
-        I1, phi1_p = I1_next, phi1_next
-    phi1 = phi1_p
-    phi2 = np.einsum("kl,Bl->Bk", J[-1], I2 + drift_term[-1])
-    return {1: phi1, 2: phi2}
+        return {1: phi1}
+    phi2 = np.empty_like(phi1)
+    for lo in range(0, n_paths, _ROW_BLOCK):
+        xb = x[lo:lo + _ROW_BLOCK]
+        for k in range(vf.n):
+            phi2[lo:lo + _ROW_BLOCK, k] = np.einsum("bj,bj->b", xb @ S[k], xb)
+    return {1: phi1, 2: phi2 + c}
 
 
 def remainder(vf, a, gamma, x, epsilon, k, H, terms=None):

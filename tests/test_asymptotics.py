@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from smalltime import asymptotics, minimizer, models
+from smalltime import asymptotics, minimizer, models, rde
 from smalltime.errors import InvalidArgumentError
 from smalltime.fgauss import FbmSpec
 from smalltime.indexsets import Exponent, enumerate_exponents, format_exponent
@@ -135,6 +135,26 @@ def test_estimate_needs_one_sample_per_batch():
     assert np.isfinite(est.se)
 
 
+def test_sample_count_checked_before_any_solve(monkeypatch):
+    m = models.bridge1d(a=0.0, a_prime=1.0, hurst=0.5)
+    spec = FbmSpec(0.5, 1, 32)
+    res = minimizer.minimize_energy(m.vf, m.a, m.a_prime, spec, n_starts=1, seed=3,
+                                    compute_hessian=False)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Monte Carlo solve ran before the sample-count check")
+
+    monkeypatch.setattr(rde, "solve_scaled_shifted_batch", forbidden)
+    monkeypatch.setattr(rde, "expansion_endpoints_batch", forbidden)
+    for method in ("plain", "shifted"):
+        with pytest.raises(InvalidArgumentError):
+            asymptotics.estimate_density(m, 0.5, method, 19, spec, seed=1,
+                                         minimizer_result=res)
+    for sanity in (False, True):
+        with pytest.raises(InvalidArgumentError):
+            asymptotics.leading_coefficient(m.vf, res, spec, 19, seed=1, sanity=sanity)
+
+
 def test_leading_coefficient_bridge_gaussian():
     # sigma = 1: phi^2 = 0, Q = 1, alpha0 = (2 pi)^{-1/2}
     m = models.bridge1d(a=0.0, a_prime=1.0, hurst=0.5)
@@ -175,3 +195,16 @@ def test_plain_vs_shifted_agreement_gaussian_fixture():
     assert plain.extras["effective_hits"] >= 100
     joint = np.hypot(plain.se, shifted.se)
     assert abs(plain.estimate - shifted.estimate) <= 3 * joint
+
+
+@pytest.mark.parametrize("H, target", [(0.5, (1.0, 0.5, 0.0)), (0.4, (0.5, 0.5, 0.6))])
+def test_sanity_branch_hits_kernel_mass_target(H, target):
+    # phi^1_1 ~ N(0, Q) exactly, so the kernel estimator is unbiased for
+    # det(Q + diag b^2) and biased low for the Gaussian mass det(Q)
+    m = models.heisenberg(a_prime=target)
+    spec = FbmSpec(H, 2, 64)
+    res = minimizer.minimize_energy(m.vf, m.a, m.a_prime, spec, n_starts=1, seed=4,
+                                    compute_hessian=False)
+    rep = asymptotics.leading_coefficient(m.vf, res, spec, 16384, seed=11, sanity=True)
+    assert rep["kernel_mass_target"] < rep["gaussian_mass_target"]
+    assert abs(rep["alpha0"] - rep["kernel_mass_target"]) <= 4 * rep["se"]

@@ -86,6 +86,16 @@ def test_invalid_arguments_exit_2_before_any_work(tmp_path):
         assert not out.exists(), name
 
 
+def test_bad_scalar_start_or_target_exits_2(tmp_path, capsys):
+    for model in ("lognormal", "bridge1d"):
+        for flag, value in (("--start", "abc"), ("--target", "abc"), ("--target", "1,2")):
+            rc = run(["solve", "--model", model, flag, value, "--grid", "32",
+                      "--out", tmp_path / "s"])
+            assert rc == 2, (model, flag, value)
+            err = capsys.readouterr().err
+            assert "config error" in err and "Traceback" not in err
+
+
 def test_invalid_library_argument_exits_2(tmp_path, capsys):
     rc = run(["simulate-fbm", "--paths", "0", "--grid", "32", "--out", tmp_path / "p"])
     assert rc == 2

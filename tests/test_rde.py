@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smalltime import fgauss, models, rde, roughlift as rl
+from smalltime import fgauss, minimizer, models, rde, roughlift as rl
 from smalltime.errors import BlowUpError
 from smalltime.fgauss import CMElement, FbmSpec
 from smalltime.paths import GridPath, uniform_grid, zero_path
@@ -370,3 +370,60 @@ def test_signature_step_jacobian_fd_nonlinear_with_area():
                                     False, False)
         fd[:, b] = (up - dn) / (2 * h)
     assert np.max(np.abs(M - np.eye(3) - fd)) < 1e-7
+
+
+HEIS_TARGETS = {0.5: (1.0, 0.5, 0.0), 0.4: (0.5, 0.5, 0.6)}
+
+
+@pytest.fixture(scope="module")
+def heis_minimizers():
+    out = {}
+    for H, target in HEIS_TARGETS.items():
+        m = models.heisenberg(a_prime=target)
+        spec = FbmSpec(H, 2, 64)
+        out[H] = (m, spec, minimizer.minimize_energy(m.vf, m.a, m.a_prime, spec, n_starts=1,
+                                                     seed=4, compute_hessian=False))
+    return out
+
+
+def _assert_endpoints_match_terms(vf, a, gamma, spec, seed):
+    w = fgauss.sample_fbm(spec, 3, seed)
+    ends = rde.expansion_endpoints_batch(vf, a, gamma, np.diff(w.values, axis=1), spec.hurst)
+    for b in range(3):
+        terms = rde.expansion_terms(vf, a, gamma, rl.lift_grid_path(w.path(b), 3),
+                                    spec.hurst, kappa_max=2.0)
+        for k in (1, 2):
+            ref = terms.phi(k)[-1]
+            assert np.max(np.abs(ends[k][b] - ref)) <= 1e-12 * np.max(np.abs(ref)), (b, k)
+
+
+@pytest.mark.parametrize("H", sorted(HEIS_TARGETS))
+def test_endpoint_forms_match_expansion_terms_heisenberg(heis_minimizers, H):
+    m, spec, res = heis_minimizers[H]
+    _assert_endpoints_match_terms(m.vf, m.a, res.gamma_bar, spec, seed=31)
+
+
+@pytest.mark.parametrize("H", [0.5, 0.4])
+def test_endpoint_forms_match_expansion_terms_quadratic_drift(H):
+    # Heisenberg fields are linear; quadratic fields exercise the KD2 dg
+    # term of S and, at H = 1/2, the drift constant c
+    rng = np.random.default_rng(32)
+    vf = rde.polynomial_fields(rng.normal(size=(2, 2)), rng.normal(size=(2, 2, 2)) * 0.4,
+                               rng.normal(size=(2, 2, 2, 2)) * 0.3,
+                               drift_const=rng.normal(size=2),
+                               drift_lin=rng.normal(size=(2, 2)) * 0.5)
+    spec = FbmSpec(H, 2, 64)
+    gamma = CMElement(spec, np.array([0.6, 1.0]), np.array([[1.0, -0.4], [0.5, 0.8]]))
+    _assert_endpoints_match_terms(vf, np.array([0.2, -0.1]), gamma, spec, seed=33)
+
+
+@pytest.mark.parametrize("H", sorted(HEIS_TARGETS))
+def test_endpoint_linear_map_reproduces_Q(heis_minimizers, H):
+    # phi^1_1 = B x with x ~ N(0, Gram (x) I_d), so B (Gram (x) I_d) B^T = Q(gamma_bar)
+    m, spec, res = heis_minimizers[H]
+    Md = spec.M * spec.dim
+    B = rde.expansion_endpoints_batch(m.vf, m.a, res.gamma_bar,
+                                      np.eye(Md).reshape(Md, spec.M, spec.dim), H, upto=1)[1].T
+    cov = np.kron(fgauss.IncrementGram(spec).matrix, np.eye(spec.dim))
+    Q = res.Q_at_min.matrix
+    assert np.max(np.abs(B @ cov @ B.T - Q)) <= 1e-12 * np.max(np.abs(Q))
